@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // quadratic cost with minimum at 7.
@@ -96,9 +97,18 @@ func TestMultiRoundBeatsOrMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestParallelEvaluationActuallyConcurrent proves Run overlaps candidate
+// evaluations. Each candidate evaluation waits, until a shared deadline,
+// for a second one to be in flight, so the overlap shows on any CPU
+// count instead of depending on two ~1 µs evaluations coinciding.
 func TestParallelEvaluationActuallyConcurrent(t *testing.T) {
-	var inFlight, maxInFlight int64
+	var calls, inFlight, maxInFlight int64
+	deadline := time.Now().Add(10 * time.Second)
 	cost := func(x float64) float64 {
+		// Run scores the initial state alone, before any candidate batch.
+		if atomic.AddInt64(&calls, 1) == 1 {
+			return quad(x)
+		}
 		cur := atomic.AddInt64(&inFlight, 1)
 		for {
 			old := atomic.LoadInt64(&maxInFlight)
@@ -106,15 +116,15 @@ func TestParallelEvaluationActuallyConcurrent(t *testing.T) {
 				break
 			}
 		}
-		for i := 0; i < 1000; i++ { // small spin to overlap
-			_ = math.Sqrt(float64(i))
+		for atomic.LoadInt64(&maxInFlight) < 2 && time.Now().Before(deadline) {
+			time.Sleep(50 * time.Microsecond)
 		}
 		atomic.AddInt64(&inFlight, -1)
 		return quad(x)
 	}
 	Run(Config{Iterations: 20, Neighbors: 16, Seed: 7, Parallelism: 8}, 0.0, moveFloat, cost)
 	if atomic.LoadInt64(&maxInFlight) < 2 {
-		t.Skip("no overlap observed; machine may be single-core")
+		t.Fatal("no two candidate evaluations were ever in flight together")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // The factored simulation path reuses one assembled system across probes:
-// the convection block is rescaled in place, solves warm-start from the
-// nearest cached field, and the preconditioner carries over. These tests
+// the convection block is rescaled in place, solves warm-start from a
+// combination of cached fields, and the preconditioner carries over. These tests
 // pin down that none of that shared state leaks between pressures — a
 // well-used model must agree with a freshly built one at every pressure.
 

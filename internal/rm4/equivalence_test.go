@@ -11,7 +11,7 @@ import (
 )
 
 // The factored path rescales the convection block in place and warm-starts
-// each solve from the nearest cached field. A model that has probed many
+// each solve from a combination of cached fields. A model that has probed many
 // pressures must agree with a freshly built model at every one of them.
 
 func equivModel(t *testing.T, seed int64) *Model {

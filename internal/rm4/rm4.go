@@ -336,20 +336,26 @@ func (m *Model) checkFlow(psys float64) error {
 // per model at the reference pressure; each probe rescales the convection
 // block in place and warm-starts the solve (see thermal.Factored).
 func (m *Model) Simulate(psys float64) (*thermal.Outcome, error) {
+	out, _, err := m.simulate(psys)
+	return out, err
+}
+
+// simulate is Simulate that also returns the full temperature field.
+func (m *Model) simulate(psys float64) (*thermal.Outcome, []float64, error) {
 	if err := m.checkFlow(psys); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	fact, err := m.factored()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	temps, res, probe, err := fact.SolveAt(psys, m.Stk.TinK)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := m.outcome(psys, temps, res.Iterations)
 	out.Probe = probe
-	return out, nil
+	return out, temps, nil
 }
 
 func (m *Model) outcome(psys float64, temps []float64, iters int) *thermal.Outcome {

@@ -60,9 +60,9 @@ func RelResidual(a *sparse.CSR, b, x []float64) float64 {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	bn := norm2(b)
+	bn := Norm2(b)
 	if bn == 0 {
 		return 0
 	}
-	return norm2(r) / bn
+	return Norm2(r) / bn
 }

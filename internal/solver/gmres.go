@@ -30,7 +30,7 @@ func GMRES(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 		m = n
 	}
 
-	bnorm := norm2(b)
+	bnorm := Norm2(b)
 	if bnorm == 0 {
 		for i := range x {
 			x[i] = 0
@@ -63,7 +63,7 @@ func GMRES(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		beta := norm2(r)
+		beta := Norm2(r)
 		res = beta / bnorm
 		if notFinite(res) {
 			return Result{Iterations: totalIter, Residual: res}, ErrBreakdown
@@ -87,10 +87,10 @@ func GMRES(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 			a.MulVecAuto(w, zt)
 			// Modified Gram-Schmidt.
 			for i := 0; i <= k; i++ {
-				h[i][k] = dot(w, v[i])
-				axpy(-h[i][k], v[i], w)
+				h[i][k] = Dot(w, v[i])
+				Axpy(-h[i][k], v[i], w)
 			}
-			h[k+1][k] = norm2(w)
+			h[k+1][k] = Norm2(w)
 			if notFinite(h[k+1][k]) {
 				return Result{Iterations: totalIter, Residual: res}, ErrBreakdown
 			}
@@ -140,10 +140,10 @@ func GMRES(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 			zt[i] = 0
 		}
 		for j := 0; j < k; j++ {
-			axpy(y[j], v[j], zt)
+			Axpy(y[j], v[j], zt)
 		}
 		opt.Precond.Apply(w, zt)
-		axpy(1, w, x)
+		Axpy(1, w, x)
 
 		if res <= opt.Tol {
 			return Result{Iterations: totalIter, Residual: res}, nil

@@ -55,6 +55,7 @@ type TwoLevel struct {
 	cPre  Preconditioner // coarse ILU(0) otherwise
 
 	xf, rf, zf, rc, ec []float64 // V-cycle scratch
+	work               Workspace // coarse BiCGSTAB scratch
 
 	// Per-level counters (atomics so stats snapshots never block a solve).
 	ctrVCycles        atomic.Int64
@@ -341,7 +342,7 @@ func (g *TwoLevel) Apply(z, r []float64) {
 		// estimate — a fixed function of rc, so the cycle stays a constant
 		// linear operation while the inner iteration starts much closer.
 		g.cPre.Apply(g.ec, g.rc)
-		res, err := BiCGSTAB(g.coarse, g.rc, g.ec, Options{
+		res, err := g.work.BiCGSTAB(g.coarse, g.rc, g.ec, Options{
 			Tol: g.opt.CoarseTol, MaxIter: g.opt.CoarseMaxIter, Precond: g.cPre,
 		})
 		g.ctrCoarseIters.Add(int64(res.Iterations))

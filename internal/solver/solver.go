@@ -102,7 +102,11 @@ func notFinite(v float64) bool {
 	return math.IsNaN(v) || math.IsInf(v, 0)
 }
 
-func norm2(x []float64) float64 {
+// Norm2, Dot and Axpy are the vector kernels of the iterative methods.
+// They run sequentially, so their rounding never depends on scheduling.
+
+// Norm2 returns the Euclidean norm of x.
+func Norm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		s += v * v
@@ -110,7 +114,8 @@ func norm2(x []float64) float64 {
 	return math.Sqrt(s)
 }
 
-func dot(a, b []float64) float64 {
+// Dot returns the inner product of a and b.
+func Dot(a, b []float64) float64 {
 	var s float64
 	for i := range a {
 		s += a[i] * b[i]
@@ -118,8 +123,8 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// axpy computes y += alpha*x.
-func axpy(alpha float64, x, y []float64) {
+// Axpy computes y += alpha*x.
+func Axpy(alpha float64, x, y []float64) {
 	for i := range y {
 		y[i] += alpha * x[i]
 	}
@@ -150,32 +155,32 @@ func CG(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	bnorm := norm2(b)
+	bnorm := Norm2(b)
 	if bnorm == 0 {
 		for i := range x {
 			x[i] = 0
 		}
 		return Result{Iterations: 0, Residual: 0}, nil
 	}
-	res := norm2(r) / bnorm
+	res := Norm2(r) / bnorm
 	if res <= opt.Tol {
 		return Result{Iterations: 0, Residual: res}, nil
 	}
 
 	opt.Precond.Apply(z, r)
 	copy(p, z)
-	rz := dot(r, z)
+	rz := Dot(r, z)
 
 	for it := 1; it <= opt.MaxIter; it++ {
 		a.MulVecAuto(ap, p)
-		pap := dot(p, ap)
+		pap := Dot(p, ap)
 		if pap == 0 || notFinite(pap) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
 		alpha := rz / pap
-		axpy(alpha, p, x)
-		axpy(-alpha, ap, r)
-		res = norm2(r) / bnorm
+		Axpy(alpha, p, x)
+		Axpy(-alpha, ap, r)
+		res = Norm2(r) / bnorm
 		if notFinite(res) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -183,7 +188,7 @@ func CG(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 			return Result{Iterations: it, Residual: res}, nil
 		}
 		opt.Precond.Apply(z, r)
-		rzNew := dot(r, z)
+		rzNew := Dot(r, z)
 		if rz == 0 || notFinite(rzNew) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -196,9 +201,32 @@ func CG(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 	return Result{Iterations: opt.MaxIter, Residual: res}, ErrNotConverged
 }
 
+// Workspace is scratch memory for repeated solves: its vectors are
+// allocated on first use, grown to the largest request, and reused, so a
+// hot loop of solves on one system allocates nothing. The zero value is
+// ready to use. A Workspace must not be shared by concurrent solves.
+type Workspace struct{ buf []float64 }
+
+// Vectors returns count n-vectors laid out back to back (vector j is
+// v[j*n:(j+1)*n]). Their contents are unspecified, and they stay valid
+// until the next call on w.
+func (w *Workspace) Vectors(n, count int) []float64 {
+	need := n * count
+	if cap(w.buf) < need {
+		w.buf = make([]float64, need)
+	}
+	return w.buf[:need]
+}
+
 // BiCGSTAB solves the general system A x = b with the stabilized
 // bi-conjugate gradient method. x is the initial guess and result.
 func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
+	var w Workspace
+	return w.BiCGSTAB(a, b, x, opt)
+}
+
+// BiCGSTAB is BiCGSTAB with its eight scratch vectors taken from w.
+func (w *Workspace) BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 	n := a.N
 	if len(b) != n || len(x) != n {
 		return Result{}, fmt.Errorf("solver: BiCGSTAB dimension mismatch: n=%d, |b|=%d, |x|=%d", n, len(b), len(x))
@@ -211,27 +239,22 @@ func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 	}
 	opt = opt.withDefaults(n)
 
-	r := make([]float64, n)
-	rhat := make([]float64, n)
-	p := make([]float64, n)
-	phat := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	shat := make([]float64, n)
-	tv := make([]float64, n)
+	vecs := w.Vectors(n, 8)
+	r, rhat, p, phat := vecs[:n], vecs[n:2*n], vecs[2*n:3*n], vecs[3*n:4*n]
+	v, s, shat, tv := vecs[4*n:5*n], vecs[5*n:6*n], vecs[6*n:7*n], vecs[7*n:]
 
 	a.MulVecAuto(r, x)
 	for i := range r {
 		r[i] = b[i] - r[i]
 	}
-	bnorm := norm2(b)
+	bnorm := Norm2(b)
 	if bnorm == 0 {
 		for i := range x {
 			x[i] = 0
 		}
 		return Result{}, nil
 	}
-	res := norm2(r) / bnorm
+	res := Norm2(r) / bnorm
 	if res <= opt.Tol {
 		return Result{Iterations: 0, Residual: res}, nil
 	}
@@ -239,7 +262,7 @@ func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 
 	var rhoOld, alpha, omega float64 = 1, 1, 1
 	for it := 1; it <= opt.MaxIter; it++ {
-		rho := dot(rhat, r)
+		rho := Dot(rhat, r)
 		if rho == 0 || notFinite(rho) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -253,7 +276,7 @@ func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 		}
 		opt.Precond.Apply(phat, p)
 		a.MulVecAuto(v, phat)
-		den := dot(rhat, v)
+		den := Dot(rhat, v)
 		if den == 0 || notFinite(den) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -261,17 +284,17 @@ func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 		for i := range s {
 			s[i] = r[i] - alpha*v[i]
 		}
-		if sr := norm2(s) / bnorm; sr <= opt.Tol {
-			axpy(alpha, phat, x)
+		if sr := Norm2(s) / bnorm; sr <= opt.Tol {
+			Axpy(alpha, phat, x)
 			return Result{Iterations: it, Residual: sr}, nil
 		}
 		opt.Precond.Apply(shat, s)
 		a.MulVecAuto(tv, shat)
-		tt := dot(tv, tv)
+		tt := Dot(tv, tv)
 		if tt == 0 || notFinite(tt) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
-		omega = dot(tv, s) / tt
+		omega = Dot(tv, s) / tt
 		if omega == 0 || notFinite(omega) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -281,7 +304,7 @@ func BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result, error) {
 		for i := range r {
 			r[i] = s[i] - omega*tv[i]
 		}
-		res = norm2(r) / bnorm
+		res = Norm2(r) / bnorm
 		if notFinite(res) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}

@@ -18,9 +18,10 @@ import (
 // block recorded at a reference flow (the rm2/rm4 models record at
 // P_sys = 1 Pa, so s is the system pressure in Pa). Per probe it rewrites
 // the matrix values in place (no pattern work, no allocation), warm-starts
-// the iterative solve from the cached field of the nearest previously
-// solved scale, and reuses the preconditioner across nearby scales,
-// refreshing it when iteration counts regress.
+// the iterative solve from the minimal-residual combination of the cached
+// fields of the nearest previously solved scales (see warmStart), and
+// reuses the preconditioner across nearby scales, refreshing it when
+// iteration counts regress.
 //
 // SolveAt is safe for concurrent use; solves on one Factored serialize.
 type Factored struct {
@@ -44,6 +45,10 @@ type Factored struct {
 	nAgg int
 
 	warm []warmField // most recent last
+
+	// work is the scratch of the warm-start projection and the BiCGSTAB
+	// rungs, at most (maxWarmFields+1)·N values, allocated on first use.
+	work solver.Workspace
 
 	pre      solver.Preconditioner
 	preScale float64 // scale the preconditioner was factorized at
@@ -102,10 +107,19 @@ type warmField struct {
 	t     []float64
 }
 
-// maxWarmFields bounds the solution cache; the pressure searches of
-// Algorithms 2/3 probe a few dozen distinct pressures per network, and
-// only the nearest neighbors matter.
-const maxWarmFields = 16
+// maxWarmFields bounds the solution cache, and with it how many fields
+// one initial guess combines (see warmStart). The fields T(s) of one
+// network form a smooth, low-dimensional family, so the last few probes
+// of a pressure search predict the next one to far below the solve
+// tolerance. Each field costs N cached values, an SpMV and a QR column;
+// on scale-51 4RM Algorithm 2 evaluations a 16-field cache saved only
+// 3–6 % of the iterations of this one, for 8·N more values per model.
+const maxWarmFields = 8
+
+// projDropTol drops a projection column whose part orthogonal to the
+// columns before it is below this fraction of its norm: it adds no
+// direction the others lack, only rounding noise and a large coefficient.
+const projDropTol = 1e-10
 
 // precondRegressionFactor triggers a preconditioner rebuild when a solve
 // needs more than this multiple of the post-build iteration count (plus a
@@ -253,8 +267,11 @@ func (s FactorStats) WarmStartRate() float64 {
 // ProbeStats describes what one SolveAt call did.
 type ProbeStats struct {
 	AssemblyNS    int64 // time spent rewriting matrix/RHS values
-	WarmStarted   bool  // initial guess came from a cached field
+	WarmStarted   bool  // initial guess came from cached fields
 	PrecondBuilds int   // preconditioner builds this probe triggered
+	// StartResidual is the relative residual ‖b − A·T₀‖/‖b‖ of the
+	// initial guess T₀, as the primary BiCGSTAB rung computes it.
+	StartResidual float64
 	// Rung is the highest escalation-ladder rung this probe climbed to;
 	// Degraded marks results produced by a fallback method (GMRES or
 	// dense LU) rather than the normal BiCGSTAB path.
@@ -400,9 +417,10 @@ func (f *Factored) SystemAt(s float64) (*sparse.CSR, []float64) {
 	return mat, rhs
 }
 
-// SolveAt solves A(s)·T = b(s), seeding the iteration from the cached
-// field of the nearest previously solved scale (falling back to a uniform
-// tGuess). The returned slice is owned by the caller.
+// SolveAt solves A(s)·T = b(s), seeding the iteration from the
+// minimal-residual combination of the cached fields of the nearest
+// previously solved scales (falling back to a uniform tGuess; see
+// warmStart). The returned slice is owned by the caller.
 //
 // On solver failure (breakdown, non-convergence, or a non-finite
 // temperature field) it climbs the escalation ladder (see solver.Rung):
@@ -425,15 +443,14 @@ func (f *Factored) SolveAt(s, tGuess float64) ([]float64, solver.Result, ProbeSt
 		time.Sleep(faults.Delay())
 	}
 
+	tol := f.tol
+	if tol <= 0 {
+		tol = defaultSolveTol
+	}
 	t := make([]float64, f.N())
-	if w := f.nearestWarm(s); w != nil {
-		copy(t, w.t)
-		probe.WarmStarted = true
+	probe.StartResidual, probe.WarmStarted = f.warmStart(mat, s, tGuess, tol, t)
+	if probe.WarmStarted {
 		f.ctrWarmStarts.Add(1)
-	} else {
-		for i := range t {
-			t[i] = tGuess
-		}
 	}
 
 	builds0 := f.ctrPrecondBuilds.Load()
@@ -448,10 +465,6 @@ func (f *Factored) SolveAt(s, tGuess float64) ([]float64, solver.Result, ProbeSt
 		}
 	}
 	f.usingMG = mgActive
-	tol := f.tol
-	if tol <= 0 {
-		tol = defaultSolveTol
-	}
 	maxIter := 40 * f.N()
 	if mgActive && maxIter > mgMaxIter {
 		maxIter = mgMaxIter
@@ -524,7 +537,7 @@ func (f *Factored) escalate(mat *sparse.CSR, rhs, t []float64, s float64,
 
 	// Rung 0: BiCGSTAB, warm start, current preconditioner.
 	rung := solver.RungPrimary
-	res, err := solver.BiCGSTAB(mat, rhs, t, opt)
+	res, err := f.work.BiCGSTAB(mat, rhs, t, opt)
 	if err == nil && faults.Fire(faults.ThermalNaN) {
 		t[0] = math.NaN()
 	}
@@ -551,7 +564,7 @@ func (f *Factored) escalate(mat *sparse.CSR, rhs, t []float64, s float64,
 		f.buildPrecond(mat, s)
 		opt.Precond = f.pre
 		cold()
-		res, err = solver.BiCGSTAB(mat, rhs, t, opt)
+		res, err = f.work.BiCGSTAB(mat, rhs, t, opt)
 		err = check(res, err)
 		totalIters += res.Iterations
 	}
@@ -694,22 +707,149 @@ func (l *lazyPrecond) Apply(z, r []float64) {
 	l.inner.Apply(z, r)
 }
 
-// nearestWarm picks the cached field whose scale is closest to s in log
-// space (pressure probes span decades; ratios are what predict field
-// similarity).
-func (f *Factored) nearestWarm(s float64) *warmField {
-	best := -1
-	bestD := math.Inf(1)
-	for i := range f.warm {
-		d := scaleDistance(f.warm[i].scale, s)
-		if d < bestD {
-			best, bestD = i, d
+// warmStart writes the initial guess for A(s)·T = b(s) into t and returns
+// its relative residual ‖b − A·t‖/‖b‖, computed exactly as BiCGSTAB
+// computes its first one, and whether the guess came from cached fields.
+//
+// The guess projects onto the previous solutions (Fischer, "Projection
+// techniques for iterative solution of Ax = b with successive right-hand
+// sides", CMAME 1998). With v₁ the cached field nearest to s and
+// v₂ … v_k the others by distance (k ≤ maxWarmFields), the columns
+// C = [v₁, v₂−v₁, …, v_k−v₁] span the same space as the fields while the
+// differences keep their large common part (the inlet temperature) out
+// of the least-squares problem. The guess is v₁ + C·y with y minimizing
+// ‖b − A·v₁ − A·C·y‖₂, solved by modified Gram–Schmidt QR of A·C with
+// re-orthogonalization, dropping near-dependent columns. v₁ alone is
+// kept when the nearest field already meets tol, or when its residual
+// is not larger than the combination's, so no start is worse than the
+// nearest field. Inner products are sequential, so the guess is bitwise
+// independent of GOMAXPROCS and the SpMV worker count.
+func (f *Factored) warmStart(mat *sparse.CSR, s, tGuess, tol float64, t []float64) (float64, bool) {
+	n := f.N()
+	var near [maxWarmFields]int
+	k := f.nearestFields(s, near[:])
+	buf := f.work.Vectors(n, k+1)
+	r, cols := buf[:n], buf[n:]
+	col := func(j int) []float64 { return cols[j*n : (j+1)*n] }
+	bn := solver.Norm2(f.rhs)
+	rel := func(v float64) float64 {
+		if bn == 0 {
+			return 0
+		}
+		return v / bn
+	}
+	if k == 0 {
+		for i := range t {
+			t[i] = tGuess
+		}
+		return rel(f.residual(mat, t, r)), false
+	}
+
+	v1 := f.warm[near[0]].t
+	copy(t, v1)
+	rNear := f.residual(mat, t, r)
+	if k == 1 || rel(rNear) <= tol {
+		return rel(rNear), true
+	}
+	// Column 0 is A·v₁ = b − r; the others are A·(v_j − v₁), with t as
+	// the difference scratch.
+	for i, ri := range r {
+		col(0)[i] = f.rhs[i] - ri
+	}
+	for j := 1; j < k; j++ {
+		vj := f.warm[near[j]].t
+		for i := range t {
+			t[i] = vj[i] - v1[i]
+		}
+		mat.MulVecAuto(col(j), t)
+	}
+
+	// Modified Gram–Schmidt with one re-orthogonalization pass: A·C = Q·R
+	// over the kept columns, Q overwriting the columns in place.
+	var rr [maxWarmFields][maxWarmFields]float64
+	var kept [maxWarmFields]int
+	nk := 0
+	for j := 0; j < k; j++ {
+		w := col(j)
+		norm0 := solver.Norm2(w)
+		for pass := 0; pass < 2; pass++ {
+			for _, i := range kept[:nk] {
+				h := solver.Dot(col(i), w)
+				solver.Axpy(-h, col(i), w)
+				rr[i][j] += h
+			}
+		}
+		norm := solver.Norm2(w)
+		if !(norm > projDropTol*norm0) {
+			continue
+		}
+		for i := range w {
+			w[i] /= norm
+		}
+		rr[j][j] = norm
+		kept[nk] = j
+		nk++
+	}
+
+	// y solves R·y = Qᵀ·r over the kept columns, Qᵀ·r applied the
+	// modified Gram–Schmidt way.
+	var y [maxWarmFields]float64
+	for a, i := range kept[:nk] {
+		y[a] = solver.Dot(col(i), r)
+		solver.Axpy(-y[a], col(i), r)
+	}
+	for a := nk - 1; a >= 0; a-- {
+		j := kept[a]
+		for b := a + 1; b < nk; b++ {
+			y[a] -= rr[j][kept[b]] * y[b]
+		}
+		y[a] /= rr[j][j]
+	}
+
+	copy(t, v1)
+	for a, j := range kept[:nk] {
+		if j == 0 {
+			solver.Axpy(y[a], v1, t)
+			continue
+		}
+		vj := f.warm[near[j]].t
+		for i := range t {
+			t[i] += y[a] * (vj[i] - v1[i])
 		}
 	}
-	if best < 0 {
-		return nil
+	// The least-squares residual above is exact only up to rounding;
+	// decide on the true one.
+	if rProj := f.residual(mat, t, r); rProj < rNear {
+		return rel(rProj), true
 	}
-	return &f.warm[best]
+	copy(t, v1)
+	return rel(rNear), true
+}
+
+// residual writes b − A·t into r and returns its norm.
+func (f *Factored) residual(mat *sparse.CSR, t, r []float64) float64 {
+	mat.MulVecAuto(r, t)
+	for i := range r {
+		r[i] = f.rhs[i] - r[i]
+	}
+	return solver.Norm2(r)
+}
+
+// nearestFields writes into idx the indices of the cached fields ordered
+// by distance to s in log space (pressure probes span decades; ratios are
+// what predict field similarity), nearest first with ties in cache
+// order, and returns how many it wrote.
+func (f *Factored) nearestFields(s float64, idx []int) int {
+	var dist [maxWarmFields]float64
+	for k := range f.warm {
+		d := scaleDistance(f.warm[k].scale, s)
+		j := k
+		for ; j > 0 && dist[j-1] > d; j-- {
+			dist[j], idx[j] = dist[j-1], idx[j-1]
+		}
+		dist[j], idx[j] = d, k
+	}
+	return len(f.warm)
 }
 
 func notFinite(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
@@ -732,7 +872,7 @@ func scaleDistance(a, b float64) float64 {
 }
 
 // remember stores a copy of the solved field, evicting the oldest entry
-// once the cache is full.
+// (and reusing its storage) once the cache is full.
 func (f *Factored) remember(s float64, t []float64) {
 	for i := range f.warm {
 		if f.warm[i].scale == s {
@@ -740,11 +880,12 @@ func (f *Factored) remember(s float64, t []float64) {
 			return
 		}
 	}
-	cp := append([]float64(nil), t...)
 	if len(f.warm) >= maxWarmFields {
+		old := f.warm[0].t
 		copy(f.warm, f.warm[1:])
-		f.warm[len(f.warm)-1] = warmField{scale: s, t: cp}
+		copy(old, t)
+		f.warm[len(f.warm)-1] = warmField{scale: s, t: old}
 		return
 	}
-	f.warm = append(f.warm, warmField{scale: s, t: cp})
+	f.warm = append(f.warm, warmField{scale: s, t: append([]float64(nil), t...)})
 }
