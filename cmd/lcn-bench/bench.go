@@ -56,7 +56,6 @@ type mgCounters struct {
 	SmootherSweeps int64 `json:"smoother_sweeps"`
 	SmootherBuilds int64 `json:"smoother_builds"`
 	CoarseSolves   int64 `json:"coarse_solves"`
-	CoarseIters    int64 `json:"coarse_iters"`
 	Updates        int64 `json:"updates"`
 }
 
@@ -398,7 +397,6 @@ func entryFromStats(name string, ops int, nsPerOp int64, st thermal.FactorStats)
 			SmootherSweeps: st.MG.SmootherSweeps,
 			SmootherBuilds: st.MG.SmootherBuilds,
 			CoarseSolves:   st.MG.CoarseSolves,
-			CoarseIters:    st.MG.CoarseIters,
 			Updates:        st.MG.Updates,
 		}
 	}

@@ -126,7 +126,6 @@ type MultigridSnapshot struct {
 	SmootherSweeps int64 `json:"smoother_sweeps"`
 	SmootherBuilds int64 `json:"smoother_builds"`
 	CoarseSolves   int64 `json:"coarse_solves"`
-	CoarseIters    int64 `json:"coarse_iters"`
 	Updates        int64 `json:"updates"`
 	LatchOffs      int64 `json:"latch_offs"`
 }

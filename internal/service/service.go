@@ -806,7 +806,6 @@ func (s *Service) Metrics() MetricsSnapshot {
 		mg.SmootherSweeps += st.MG.SmootherSweeps
 		mg.SmootherBuilds += st.MG.SmootherBuilds
 		mg.CoarseSolves += st.MG.CoarseSolves
-		mg.CoarseIters += st.MG.CoarseIters
 		mg.Updates += st.MG.Updates
 		mg.LatchOffs += int64(st.MGLatchOffs)
 	})

@@ -10,18 +10,36 @@ import (
 // pattern of the matrix. For the symmetric flow matrix it degenerates to
 // an incomplete Cholesky-like factorization; for the nonsymmetric thermal
 // matrix it is the standard ILU(0).
+//
+// On a 7-point stencil pattern (see sparse.CSR.StencilOffsets) with three
+// offsets on each side of the diagonal, the factor is stored in st
+// instead of the CSR fields.
 type ILU0 struct {
 	n      int
 	rowPtr []int
 	cols   []int
 	vals   []float64 // combined L (strictly lower, unit diagonal) and U
 	diag   []int     // index of the diagonal entry in each row
+	st     *stencilLU
 }
 
 // NewILU0 factorizes the matrix pattern in place (IKJ variant). It
 // returns an error if a zero pivot is met; callers then fall back to
 // Jacobi.
 func NewILU0(m *sparse.CSR) (*ILU0, error) {
+	f, err := factorILU0(m)
+	if err != nil {
+		return nil, err
+	}
+	if off, ok := m.StencilOffsets(); ok && off[3] == 0 {
+		f.st = newStencilLU(f, off)
+		f.rowPtr, f.cols, f.vals, f.diag = nil, nil, nil, nil
+	}
+	return f, nil
+}
+
+// factorILU0 computes the factor in CSR form on m's pattern.
+func factorILU0(m *sparse.CSR) (*ILU0, error) {
 	n := m.N
 	f := &ILU0{
 		n:      n,
@@ -86,6 +104,10 @@ func NewILU0(m *sparse.CSR) (*ILU0, error) {
 
 // Apply solves (LU) z = r by forward then backward substitution.
 func (f *ILU0) Apply(z, r []float64) {
+	if f.st != nil {
+		f.st.apply(z, r)
+		return
+	}
 	copy(z, r)
 	// Forward solve L y = r (unit diagonal).
 	for i := 0; i < f.n; i++ {

@@ -20,15 +20,18 @@ import (
 // A_c inherits the affine split: A_c(s) = (R·S·P) + s·(R·F·P).
 //
 // One Apply runs a V(pre,post)-cycle with ILU(0) smoothing: pre-smooth
-// on the fine grid, restrict the residual, solve the coarse system
-// (dense LU when small, ILU(0)-BiCGSTAB otherwise), prolong the
-// correction, post-smooth. Pointwise (Jacobi/Gauss-Seidel) smoothing is
-// not an option here: the central-differencing convection rows lose
-// diagonal dominance as the flow grows — through-flow diagonal
-// contributions cancel while the off-diagonals scale with ±c/2 — and
-// pointwise sweeps diverge exactly in the regime the pressure searches
-// spend most probes in. The ILU(0) smoother handles the advection
-// chains the way the escalation ladder's baseline preconditioner does.
+// on the fine grid, restrict the residual, solve the coarse system with
+// a dense LU, prolong the correction, post-smooth. The coarse system is
+// limited to DenseCoarseMax aggregates: a larger one would need an
+// iterative coarse solve inside every V-cycle, which costs more than the
+// outer iterations it saves — plain ILU(0) is faster on such systems.
+// Pointwise (Jacobi/Gauss-Seidel) smoothing is not an option here: the
+// central-differencing convection rows lose diagonal dominance as the
+// flow grows — through-flow diagonal contributions cancel while the
+// off-diagonals scale with ±c/2 — and pointwise sweeps diverge exactly
+// in the regime the pressure searches spend most probes in. The ILU(0)
+// smoother handles the advection chains the way the escalation ladder's
+// baseline preconditioner does.
 //
 // The split that keeps the hierarchy cheap across pressure probes: the
 // coarse operator is refreshed exactly at every scale for O(nnz_c)
@@ -51,34 +54,28 @@ type TwoLevel struct {
 	fmap          []int32   // fine nnz index -> coarse nnz index
 
 	shift float64
-	lu    *DenseLU       // coarse solver for nc <= DenseCoarseMax
-	cPre  Preconditioner // coarse ILU(0) otherwise
+	lu    *DenseLU // coarse solver
 
 	xf, rf, zf, rc, ec []float64 // V-cycle scratch
-	work               Workspace // coarse BiCGSTAB scratch
 
 	// Per-level counters (atomics so stats snapshots never block a solve).
 	ctrVCycles        atomic.Int64
 	ctrSweeps         atomic.Int64
 	ctrCoarseSolves   atomic.Int64
-	ctrCoarseIters    atomic.Int64
 	ctrUpdates        atomic.Int64
 	ctrSmootherBuilds atomic.Int64
 }
 
-// DenseCoarseMax is the default largest coarse system factorized with a
-// dense LU instead of an inner iterative solve. Callers choosing whether
-// multigrid will pay off can test their aggregate count against it: a
-// direct coarse solve makes the V-cycle cost essentially smoothing only.
+// DenseCoarseMax is the largest coarse system NewTwoLevel accepts; the
+// coarse system is factorized with a dense LU, so a V-cycle costs
+// essentially its smoothing steps. Callers choosing whether multigrid
+// will pay off test their aggregate count against it.
 const DenseCoarseMax = 96
 
 // MGOptions tunes the V-cycle.
 type MGOptions struct {
-	PreSweeps      int     // smoothing steps before the coarse correction; default 1
-	PostSweeps     int     // smoothing steps after; default 1
-	DenseCoarseMax int     // largest coarse system factorized densely; default 96
-	CoarseTol      float64 // relative tolerance of the iterative coarse solve; default 1e-6
-	CoarseMaxIter  int     // iteration cap of the iterative coarse solve; default 4*nc
+	PreSweeps  int // smoothing steps before the coarse correction; default 2
+	PostSweeps int // smoothing steps after; default 2
 	// SmootherMaxDrift is the largest |log(s/s_smoother)| at which the
 	// fine ILU(0) smoother is reused before refactorizing; default 0.5
 	// (reuse within a ~1.65× scale change). Wider windows fail in the
@@ -87,24 +84,12 @@ type MGOptions struct {
 	SmootherMaxDrift float64
 }
 
-func (o MGOptions) withDefaults(nc int) MGOptions {
+func (o MGOptions) withDefaults() MGOptions {
 	if o.PreSweeps <= 0 {
 		o.PreSweeps = 2
 	}
 	if o.PostSweeps <= 0 {
 		o.PostSweeps = 2
-	}
-	if o.DenseCoarseMax <= 0 {
-		o.DenseCoarseMax = DenseCoarseMax
-	}
-	if o.CoarseTol <= 0 {
-		o.CoarseTol = 1e-6
-	}
-	if o.CoarseMaxIter <= 0 {
-		o.CoarseMaxIter = 4 * nc
-		if o.CoarseMaxIter < 200 {
-			o.CoarseMaxIter = 200
-		}
 	}
 	if o.SmootherMaxDrift <= 0 {
 		o.SmootherMaxDrift = 0.5
@@ -118,7 +103,6 @@ type MGStats struct {
 	SmootherSweeps int64 // smoothing steps across all cycles
 	SmootherBuilds int64 // fine ILU(0) smoother factorizations
 	CoarseSolves   int64 // coarse-grid solves (one per V-cycle)
-	CoarseIters    int64 // iterations inside iterative coarse solves (0 for dense LU)
 	Updates        int64 // UpdateShift refreshes of the coarse factorization
 }
 
@@ -128,25 +112,25 @@ func (s *MGStats) Add(o MGStats) {
 	s.SmootherSweeps += o.SmootherSweeps
 	s.SmootherBuilds += o.SmootherBuilds
 	s.CoarseSolves += o.CoarseSolves
-	s.CoarseIters += o.CoarseIters
 	s.Updates += o.Updates
 }
 
 // NewTwoLevel builds the two-level hierarchy over the pair's union
 // pattern at the pair's current shift. agg maps every fine unknown to
-// one of nc aggregates (the 2RM cell structure); the builder compiles
-// the Galerkin coarse pattern and the fine→coarse scatter map once.
+// one of nc aggregates (the 2RM cell structure), with nc at most
+// DenseCoarseMax; the builder compiles the Galerkin coarse pattern and
+// the fine→coarse scatter map once.
 func NewTwoLevel(pair *sparse.AffinePair, agg []int, nc int, opt MGOptions) (*TwoLevel, error) {
 	fine := pair.Matrix()
 	n := fine.N
 	if len(agg) != n {
 		return nil, fmt.Errorf("solver: multigrid aggregate map has %d entries for %d unknowns", len(agg), n)
 	}
-	if nc < 1 || nc >= n {
-		return nil, fmt.Errorf("solver: multigrid coarse size %d for fine size %d", nc, n)
+	if nc < 1 || nc >= n || nc > DenseCoarseMax {
+		return nil, fmt.Errorf("solver: multigrid coarse size %d for fine size %d (at most %d)", nc, n, DenseCoarseMax)
 	}
 	g := &TwoLevel{
-		fine: fine, agg: agg, nc: nc, opt: opt.withDefaults(nc),
+		fine: fine, agg: agg, nc: nc, opt: opt.withDefaults(),
 		xf: make([]float64, n), rf: make([]float64, n), zf: make([]float64, n),
 		rc: make([]float64, nc), ec: make([]float64, nc),
 	}
@@ -251,15 +235,11 @@ func (g *TwoLevel) UpdateShift(s float64) error {
 	}
 	g.shift = s
 	g.ctrUpdates.Add(1)
-	if g.nc <= g.opt.DenseCoarseMax {
-		lu, err := NewDenseLU(g.coarse)
-		if err != nil {
-			return fmt.Errorf("solver: multigrid coarse factorization at s=%g: %w", s, err)
-		}
-		g.lu = lu
-		return nil
+	lu, err := NewDenseLU(g.coarse)
+	if err != nil {
+		return fmt.Errorf("solver: multigrid coarse factorization at s=%g: %w", s, err)
 	}
-	g.cPre = BestPrecond(g.coarse)
+	g.lu = lu
 	return nil
 }
 
@@ -279,7 +259,6 @@ func (g *TwoLevel) Stats() MGStats {
 		SmootherSweeps: g.ctrSweeps.Load(),
 		SmootherBuilds: g.ctrSmootherBuilds.Load(),
 		CoarseSolves:   g.ctrCoarseSolves.Load(),
-		CoarseIters:    g.ctrCoarseIters.Load(),
 		Updates:        g.ctrUpdates.Load(),
 	}
 }
@@ -304,9 +283,9 @@ func (g *TwoLevel) smoothStep(x, r []float64, first bool) {
 
 // Apply runs one V-cycle on M z = r with a zero initial guess,
 // implementing Preconditioner. The cycle is a fixed linear operation —
-// fixed smoothing steps, a frozen smoother factorization, and a coarse
-// solve to fixed tolerance — so the outer Krylov iteration sees a
-// (numerically) constant preconditioner.
+// fixed smoothing steps, a frozen smoother factorization, and a direct
+// coarse solve — so the outer Krylov iteration sees a constant
+// preconditioner.
 func (g *TwoLevel) Apply(z, r []float64) {
 	g.ctrVCycles.Add(1)
 	x := g.xf
@@ -335,24 +314,7 @@ func (g *TwoLevel) Apply(z, r []float64) {
 		g.rc[0] = math.NaN()
 	}
 	g.ctrCoarseSolves.Add(1)
-	if g.lu != nil {
-		g.lu.Solve(g.ec, g.rc)
-	} else {
-		// Seed the inner solve with the coarse preconditioner's one-shot
-		// estimate — a fixed function of rc, so the cycle stays a constant
-		// linear operation while the inner iteration starts much closer.
-		g.cPre.Apply(g.ec, g.rc)
-		res, err := g.work.BiCGSTAB(g.coarse, g.rc, g.ec, Options{
-			Tol: g.opt.CoarseTol, MaxIter: g.opt.CoarseMaxIter, Precond: g.cPre,
-		})
-		g.ctrCoarseIters.Add(int64(res.Iterations))
-		if err != nil && res.Residual > math.Sqrt(g.opt.CoarseTol) {
-			// A hard coarse failure poisons the correction so the outer
-			// solve surfaces ErrBreakdown and escalates off multigrid,
-			// instead of silently iterating with a useless preconditioner.
-			g.ec[0] = math.NaN()
-		}
-	}
+	g.lu.Solve(g.ec, g.rc)
 	if faults.Fire(faults.MGCoarse) {
 		g.ec[0] = math.NaN()
 	}

@@ -170,48 +170,16 @@ func TestTwoLevelPreconditionsBiCGSTAB(t *testing.T) {
 	}
 }
 
-// BenchmarkMGPrecondVcycle times one V-cycle Apply against one ILU(0)
-// Apply on advective grids sized like the 4RM systems at bench scales 21
-// (~3.1k unknowns) and 51 (~18k unknowns). A V-cycle costs several ILU
-// applications (two pre- and two post-smoothing sweeps, a fine SpMV, and
-// a coarse solve); the win shown in BENCH_<date>.json comes from the
-// 3-5× iteration reduction it buys, so this benchmark pins the per-cycle
-// overhead side of that tradeoff.
-func BenchmarkMGPrecondVcycle(b *testing.B) {
-	for _, sc := range []struct {
-		name   string
-		nx, ny int
-	}{
-		{"scale21", 56, 56},   // 3136 ≈ scale-21 4RM (3087 unknowns)
-		{"scale51", 135, 135}, // 18225 ≈ scale-51 4RM (18207 unknowns)
-	} {
-		pair := buildAffineGrid(sc.nx, sc.ny, 0.25)
-		agg, nc := tileAgg(sc.nx, sc.ny, 4)
-		pair.SetShift(2)
-		g, err := NewTwoLevel(pair, agg, nc, MGOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := g.UpdateShift(2); err != nil {
-			b.Fatal(err)
-		}
-		n := pair.Matrix().N
-		r := make([]float64, n)
-		for i := range r {
-			r[i] = 1 + float64(i%5)
-		}
-		z := make([]float64, n)
-		b.Run(sc.name+"/vcycle", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				g.Apply(z, r)
-			}
-		})
-		ilu := BestPrecond(pair.Matrix())
-		b.Run(sc.name+"/ilu0", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ilu.Apply(z, r)
-			}
-		})
+// TestTwoLevelRejectsLargeCoarse: the coarse system is solved with a
+// dense LU, so a coarse map beyond DenseCoarseMax aggregates is refused.
+func TestTwoLevelRejectsLargeCoarse(t *testing.T) {
+	pair := buildAffineGrid(40, 40, 0.25)
+	agg, nc := tileAgg(40, 40, 4)
+	if nc <= DenseCoarseMax {
+		t.Fatalf("fixture coarse size %d fits a dense solve", nc)
+	}
+	if _, err := NewTwoLevel(pair, agg, nc, MGOptions{}); err == nil {
+		t.Fatalf("NewTwoLevel accepted %d aggregates (max %d)", nc, DenseCoarseMax)
 	}
 }
 

@@ -260,9 +260,13 @@ func (w *Workspace) BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result
 	}
 	copy(rhat, r)
 
+	// The vector passes are fused where they share operands: s with
+	// ‖s‖, ⟨t,t⟩ with ⟨t,s⟩, and x, r, ‖r‖ and the next ρ = ⟨r̂,r⟩ in one
+	// sweep. Every reduction keeps its own accumulator summed in index
+	// order, so the iterates are bitwise identical to the unfused loop.
+	rho := Dot(rhat, r)
 	var rhoOld, alpha, omega float64 = 1, 1, 1
 	for it := 1; it <= opt.MaxIter; it++ {
-		rho := Dot(rhat, r)
 		if rho == 0 || notFinite(rho) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
@@ -281,37 +285,47 @@ func (w *Workspace) BiCGSTAB(a *sparse.CSR, b, x []float64, opt Options) (Result
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
 		alpha = rho / den
+		var ss float64
 		for i := range s {
-			s[i] = r[i] - alpha*v[i]
+			si := r[i] - alpha*v[i]
+			s[i] = si
+			ss += si * si
 		}
-		if sr := Norm2(s) / bnorm; sr <= opt.Tol {
+		if sr := math.Sqrt(ss) / bnorm; sr <= opt.Tol {
 			Axpy(alpha, phat, x)
 			return Result{Iterations: it, Residual: sr}, nil
 		}
 		opt.Precond.Apply(shat, s)
 		a.MulVecAuto(tv, shat)
-		tt := Dot(tv, tv)
+		var tt, ts float64
+		for i, ti := range tv {
+			tt += ti * ti
+			ts += ti * s[i]
+		}
 		if tt == 0 || notFinite(tt) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
-		omega = Dot(tv, s) / tt
+		omega = ts / tt
 		if omega == 0 || notFinite(omega) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
-		for i := range x {
-			x[i] += alpha*phat[i] + omega*shat[i]
-		}
+		rhoOld = rho
+		var rr float64
+		rho = 0
 		for i := range r {
-			r[i] = s[i] - omega*tv[i]
+			x[i] += alpha*phat[i] + omega*shat[i]
+			ri := s[i] - omega*tv[i]
+			r[i] = ri
+			rr += ri * ri
+			rho += rhat[i] * ri
 		}
-		res = Norm2(r) / bnorm
+		res = math.Sqrt(rr) / bnorm
 		if notFinite(res) {
 			return Result{Iterations: it, Residual: res}, ErrBreakdown
 		}
 		if res <= opt.Tol {
 			return Result{Iterations: it, Residual: res}, nil
 		}
-		rhoOld = rho
 	}
 	return Result{Iterations: opt.MaxIter, Residual: res}, ErrNotConverged
 }

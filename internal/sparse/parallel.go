@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -102,10 +103,30 @@ func (m *CSR) blocking() *rowBlocks {
 }
 
 // mulRows computes dst[i] = Σ_k Vals[k]·x[Cols[k]] for rows [lo, hi).
-// The 4-way unrolled accumulators are the single SpMV kernel shared by
-// the serial and parallel paths, so results are bitwise identical no
-// matter how rows are scheduled across workers.
+// It is the single SpMV kernel shared by the serial and parallel paths,
+// so results are bitwise identical no matter how rows are scheduled
+// across workers. On a stencil pattern the full-row runs go through
+// mulStencilRows, which sums in the generic loop's order.
 func (m *CSR) mulRows(dst, x []float64, lo, hi int) {
+	st := m.stencilPattern()
+	runs := st.runs
+	nr := len(runs) / 2
+	r := sort.Search(nr, func(j int) bool { return runs[2*j+1] > lo })
+	for i := lo; i < hi; r++ {
+		if r == nr || runs[2*r] >= hi {
+			m.mulGenericRows(dst, x, i, hi)
+			return
+		}
+		a, b := max(runs[2*r], i), min(runs[2*r+1], hi)
+		m.mulGenericRows(dst, x, i, a)
+		m.mulStencilRows(dst, x, &st.off, a, b)
+		i = b
+	}
+}
+
+// mulGenericRows is the row loop for any pattern, with 4-way unrolled
+// accumulators.
+func (m *CSR) mulGenericRows(dst, x []float64, lo, hi int) {
 	vals, cols, rowPtr := m.Vals, m.Cols, m.RowPtr
 	for i := lo; i < hi; i++ {
 		k, end := rowPtr[i], rowPtr[i+1]

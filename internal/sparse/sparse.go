@@ -121,10 +121,12 @@ type CSR struct {
 	Cols   []int
 	Vals   []float64
 
-	// blk caches the sliced-row partition used by MulVecAuto. It depends
-	// only on RowPtr (immutable after construction), so it is computed
-	// lazily and shared across in-place value rewrites.
+	// blk caches the sliced-row partition used by MulVecAuto, and stn the
+	// stencil analysis of the pattern. Both depend only on RowPtr and Cols
+	// (immutable after construction), so they are computed lazily and
+	// shared across in-place value rewrites.
 	blk atomic.Pointer[rowBlocks]
+	stn atomic.Pointer[stencil]
 }
 
 // NNZ returns the number of stored entries.

@@ -1,0 +1,124 @@
+package sparse
+
+import "sort"
+
+// StencilWidth is the number of column offsets of a 7-point stencil
+// pattern: the diagonal and the ±x, ±y, ±z neighbours of a layered grid.
+const StencilWidth = 7
+
+// stencil is the cached pattern analysis of a CSR matrix. A matrix is a
+// stencil when every stored entry (i, j) has j - i in one set of exactly
+// seven offsets and at least one row stores all seven — the 4RM thermal
+// systems, whose unknowns are the basic cells of each layer, store
+// offsets {0, ±1, ±NX, ±NX·NY}. Rows that store all seven columns are
+// grouped into runs of consecutive rows;
+// SpMV reads their values row-major and x through seven offset windows,
+// with no column-index loads.
+type stencil struct {
+	ok   bool
+	off  [StencilWidth]int // ascending
+	runs []int             // full-row runs: rows [runs[2r], runs[2r+1])
+}
+
+// stencilPattern returns the cached pattern analysis, computing it on
+// first use. Like the row blocking, it depends only on RowPtr and Cols,
+// which are immutable after construction, so concurrent first uses race
+// benignly: both compute the same analysis.
+func (m *CSR) stencilPattern() *stencil {
+	if st := m.stn.Load(); st != nil {
+		return st
+	}
+	st := analyseStencil(m)
+	m.stn.Store(st)
+	return st
+}
+
+// analyseStencil collects the distinct column offsets of m in one pass
+// over the pattern, giving up at the eighth, and then finds the runs of
+// rows that store all seven.
+func analyseStencil(m *CSR) *stencil {
+	st := &stencil{}
+	var off [StencilWidth]int
+	n := 0
+	for i := 0; i < m.N; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			d := m.Cols[k] - i
+			j := 0
+			for j < n && off[j] != d {
+				j++
+			}
+			if j == n {
+				if n == StencilWidth {
+					return st
+				}
+				off[n] = d
+				n++
+			}
+		}
+	}
+	if n != StencilWidth {
+		return st
+	}
+	sort.Ints(off[:])
+	// Columns are distinct and every offset is one of the seven, so a
+	// row with seven entries stores exactly the seven offsets, in order.
+	for i := 0; i < m.N; {
+		if m.RowPtr[i+1]-m.RowPtr[i] != StencilWidth {
+			i++
+			continue
+		}
+		j := i + 1
+		for j < m.N && m.RowPtr[j+1]-m.RowPtr[j] == StencilWidth {
+			j++
+		}
+		st.runs = append(st.runs, i, j)
+		i = j
+	}
+	// A pattern where no row stores all seven offsets is a sparser graph
+	// that happens to use seven (a 2D channel network's flow matrix, say),
+	// not a stencil.
+	if st.ok = len(st.runs) > 0; st.ok {
+		st.off = off
+	}
+	return st
+}
+
+// StencilOffsets reports the seven column offsets, ascending, when the
+// pattern is a 7-point stencil: every stored entry (i, j) has j - i in
+// one set of seven offsets, and at least one row stores all seven. Other
+// rows may store any subset of them.
+func (m *CSR) StencilOffsets() (off [StencilWidth]int, ok bool) {
+	st := m.stencilPattern()
+	return st.off, st.ok
+}
+
+// mulStencilRows computes dst[i] for rows [lo, hi) of one full-row run.
+// The summation order is the generic kernel's for a seven-entry row —
+// four accumulators over entries 0-3, then entries 4-6 in sequence — so
+// the result is bitwise identical to it.
+func (m *CSR) mulStencilRows(dst, x []float64, off *[StencilWidth]int, lo, hi int) {
+	d := dst[lo:hi]
+	n := len(d)
+	v := m.Vals[m.RowPtr[lo]:m.RowPtr[hi]]
+	v = v[:StencilWidth*n]
+	x0 := x[lo+off[0] : hi+off[0]][:n]
+	x1 := x[lo+off[1] : hi+off[1]][:n]
+	x2 := x[lo+off[2] : hi+off[2]][:n]
+	x3 := x[lo+off[3] : hi+off[3]][:n]
+	x4 := x[lo+off[4] : hi+off[4]][:n]
+	x5 := x[lo+off[5] : hi+off[5]][:n]
+	x6 := x[lo+off[6] : hi+off[6]][:n]
+	for t := range d {
+		r := v[StencilWidth*t : StencilWidth*t+StencilWidth : StencilWidth*t+StencilWidth]
+		var s0, s1, s2, s3 float64
+		s0 += r[0] * x0[t]
+		s1 += r[1] * x1[t]
+		s2 += r[2] * x2[t]
+		s3 += r[3] * x3[t]
+		s := (s0 + s1) + (s2 + s3)
+		s += r[4] * x4[t]
+		s += r[5] * x5[t]
+		s += r[6] * x6[t]
+		d[t] = s
+	}
+}

@@ -211,6 +211,24 @@ func TestEscalationMultigridFallback(t *testing.T) {
 	}
 }
 
+// TestMultigridNeedsDirectCoarse: a coarse map too large for the dense
+// coarse solve keeps the system on ILU(0) even when multigrid is forced.
+func TestMultigridNeedsDirectCoarse(t *testing.T) {
+	prev := GetPrecondStrategy()
+	SetPrecondStrategy(PrecondMG)
+	t.Cleanup(func() { SetPrecondStrategy(prev) })
+
+	n := 4 * (solver.DenseCoarseMax + 1)
+	f := mgFactored(t, n)
+	if _, _, _, err := f.SolveAt(2.0, 300); err != nil {
+		t.Fatal(err)
+	}
+	if st := f.Stats(); f.Multigrid() != nil || st.MG.VCycles != 0 || st.MGLatchOffs != 0 {
+		t.Fatalf("%d aggregates tried multigrid (dense coarse max %d): %+v",
+			f.nAgg, solver.DenseCoarseMax, st)
+	}
+}
+
 // TestEscalationMultigridToGMRES: when the V-cycle is poisoned AND the
 // classic BiCGSTAB rung breaks down, the ladder must keep climbing —
 // multigrid → ILU0 retry → GMRES — and flag the result degraded.

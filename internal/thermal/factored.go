@@ -146,13 +146,14 @@ type PrecondStrategy int32
 // Preconditioning strategies.
 const (
 	// PrecondAuto (the default) uses two-level multigrid when the model
-	// supplied a coarse map and the system is large enough to benefit,
-	// ILU(0) otherwise.
+	// supplied a coarse map small enough for a direct coarse solve and
+	// the system is large enough to benefit, ILU(0) otherwise.
 	PrecondAuto PrecondStrategy = iota
 	// PrecondILU forces the ILU(0) path (benchmark/ablation baseline).
 	PrecondILU
-	// PrecondMG forces multigrid whenever a coarse map exists, ignoring
-	// the size thresholds (used by equivalence tests on small fixtures).
+	// PrecondMG forces multigrid whenever a coarse map within
+	// solver.DenseCoarseMax exists, ignoring the other size thresholds
+	// (used by equivalence tests on small fixtures).
 	PrecondMG
 )
 
@@ -183,24 +184,22 @@ func GetPrecondStrategy() PrecondStrategy { return PrecondStrategy(precondStrate
 // ILU(0)-BiCGSTAB solve is already a few hundred microseconds and the
 // V-cycle overhead is not worth it; below mgMinCoarse (or above half the
 // fine size) the coarse grid cannot represent the smooth error modes.
-// Between the extremes, multigrid must also pay for its cycle cost:
-// either the coarse solve is a direct dense LU (nAgg within
-// solver.DenseCoarseMax, so a V-cycle is essentially four smoothing
-// steps), or the fine system is at least mgLargeSize unknowns, where
-// the 3-5× iteration reduction beats the extra per-cycle work. Mid-size
-// systems with an iterative coarse solve lose wall-clock to plain
-// ILU(0) even at fewer iterations, so PrecondAuto leaves them alone.
+// Under every strategy the coarse system must also be small enough for
+// a direct dense LU (nAgg within solver.DenseCoarseMax), so a V-cycle
+// costs essentially its smoothing steps. Larger coarse maps — the 4RM
+// systems at the bench scales — would need an iterative coarse solve,
+// and plain ILU(0) with the stencil kernels beats that on wall-clock.
 const (
 	mgMinSize   = 256
 	mgMinCoarse = 8
-	mgLargeSize = 8192
 )
 
 // mgMaxIter caps the BiCGSTAB iteration budget while multigrid is
-// active: each preconditioned iteration costs two smoothing sweeps, a
-// fine SpMV, and a coarse solve, so a solve that has not converged in a
-// few hundred iterations should escalate to the ILU rung instead of
-// burning the 40·N budget.
+// active: a BiCGSTAB iteration applies the preconditioner twice, and
+// each V(2,2) cycle runs four ILU(0) smoothing steps, four fine SpMVs and
+// a coarse solve, so a solve that has not converged in a few hundred
+// iterations should escalate to the ILU rung instead of burning the 40·N
+// budget.
 const mgMaxIter = 500
 
 // rcmMinSize gates the bandwidth-reducing renumbering when it is
@@ -604,7 +603,8 @@ func (f *Factored) escalate(mat *sparse.CSR, rhs, t []float64, s float64,
 // mgEligible reports whether this probe should route through the
 // two-level multigrid preconditioner.
 func (f *Factored) mgEligible() bool {
-	if f.mgDisabled || f.agg == nil || f.nAgg < 1 || f.nAgg >= f.N() {
+	if f.mgDisabled || f.agg == nil || f.nAgg < 1 || f.nAgg >= f.N() ||
+		f.nAgg > solver.DenseCoarseMax {
 		return false
 	}
 	switch GetPrecondStrategy() {
@@ -613,8 +613,7 @@ func (f *Factored) mgEligible() bool {
 	case PrecondMG:
 		return true
 	}
-	return f.N() >= mgMinSize && f.nAgg >= mgMinCoarse && 2*f.nAgg <= f.N() &&
-		(f.nAgg <= solver.DenseCoarseMax || f.N() >= mgLargeSize)
+	return f.N() >= mgMinSize && f.nAgg >= mgMinCoarse && 2*f.nAgg <= f.N()
 }
 
 // routePrecond points f.pre at the preconditioner for scale s and
