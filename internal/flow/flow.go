@@ -8,7 +8,6 @@ package flow
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"lcn3d/internal/faults"
 	"lcn3d/internal/grid"
@@ -17,25 +16,6 @@ import (
 	"lcn3d/internal/sparse"
 	"lcn3d/internal/units"
 )
-
-// rcmMinSize gates the optional bandwidth-reducing renumbering: below
-// it the pressure system fits in cache in any ordering.
-const rcmMinSize = 1024
-
-// renumberEnabled mirrors thermal.SetRenumbering for the pressure
-// systems. Off by default for the same measured reason: the row-major
-// cell ordering is already banded at the grid cross-section, and the
-// IC/ILU preconditioner quality tracks the physical ordering. The
-// machinery stays available for dense networks large enough that SpMV
-// locality dominates.
-var renumberEnabled atomic.Bool
-
-// SetRenumbering enables or disables RCM renumbering of subsequently
-// solved large pressure systems.
-func SetRenumbering(on bool) { renumberEnabled.Store(on) }
-
-// GetRenumbering reports whether RCM renumbering is enabled.
-func GetRenumbering() bool { return renumberEnabled.Load() }
 
 // Geometry carries the channel-layer physical parameters.
 type Geometry struct {
@@ -200,7 +180,7 @@ func Solve(net *network.Network, geom Geometry, psys float64) (*Solution, error)
 
 	m := b.Build()
 	p := make([]float64, len(cells))
-	iters, err := solveMaybeRenumbered(m, rhs, p, psys, s)
+	iters, err := solvePressure(m, rhs, p, psys, s)
 	if err != nil {
 		return nil, err
 	}
@@ -245,32 +225,6 @@ func Solve(net *network.Network, geom Geometry, psys float64) (*Solution, error)
 	}
 	s.Wpump = psys * s.Qsys
 	return s, nil
-}
-
-// solveMaybeRenumbered wraps solvePressure with the optional RCM
-// renumbering: for large systems (when enabled) it solves in a
-// bandwidth-reduced ordering and scatters the pressures back, keeping
-// the renumbering only when it actually narrows the band. The permuted
-// solve is the same SPD system with relabeled unknowns, so the rung and
-// degradation accounting on s is unchanged.
-func solveMaybeRenumbered(m *sparse.CSR, rhs, p []float64, psys float64, s *Solution) (int, error) {
-	if !renumberEnabled.Load() || m.N < rcmMinSize {
-		return solvePressure(m, rhs, p, psys, s)
-	}
-	perm := sparse.RCM(m)
-	if sparse.PermutedBandwidth(m, perm) >= sparse.Bandwidth(m) {
-		return solvePressure(m, rhs, p, psys, s)
-	}
-	pm := sparse.PermuteCSR(m, perm)
-	prhs := make([]float64, len(rhs))
-	sparse.PermuteVec(prhs, rhs, perm)
-	pp := make([]float64, len(p))
-	iters, err := solvePressure(pm, prhs, pp, psys, s)
-	if err != nil {
-		return iters, err
-	}
-	sparse.PermuteVec(p, pp, sparse.InversePerm(perm))
-	return iters, nil
 }
 
 // solvePressure runs the pressure solve through the solver escalation

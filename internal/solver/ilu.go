@@ -11,9 +11,8 @@ import (
 // an incomplete Cholesky-like factorization; for the nonsymmetric thermal
 // matrix it is the standard ILU(0).
 //
-// On a 7-point stencil pattern (see sparse.CSR.StencilOffsets) with three
-// offsets on each side of the diagonal, the factor is stored in st
-// instead of the CSR fields.
+// On the 7-point stencil of a layered grid (see newStencilLU), the factor
+// is stored in st instead of the CSR fields.
 type ILU0 struct {
 	n      int
 	rowPtr []int
@@ -31,9 +30,10 @@ func NewILU0(m *sparse.CSR) (*ILU0, error) {
 	if err != nil {
 		return nil, err
 	}
-	if off, ok := m.StencilOffsets(); ok && off[3] == 0 {
-		f.st = newStencilLU(f, off)
-		f.rowPtr, f.cols, f.vals, f.diag = nil, nil, nil, nil
+	if off, ok := m.StencilOffsets(); ok {
+		if f.st = newStencilLU(f, off); f.st != nil {
+			f.rowPtr, f.cols, f.vals, f.diag = nil, nil, nil, nil
+		}
 	}
 	return f, nil
 }

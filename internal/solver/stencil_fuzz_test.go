@@ -12,10 +12,18 @@ import (
 // nx×ny×nz grid with the 7-point coupling pattern of the 4RM systems.
 // Each off-diagonal entry is dropped with probability drop/256, which
 // breaks the full-stencil rows into runs of every length, down to 1.
-func randomGridMatrix(rng *rand.Rand, nx, ny, nz int, drop uint8) *sparse.CSR {
+// With cross set, the last cell of every line also couples to the next
+// row, so the ±1 offset crosses line boundaries.
+func randomGridMatrix(rng *rand.Rand, nx, ny, nz int, drop uint8, cross bool) *sparse.CSR {
 	n := nx * ny * nz
 	b := sparse.NewBuilder(n)
 	offs := []int{-nx * ny, -nx, -1, 1, nx, nx * ny}
+	val := func() float64 {
+		if v := 2*rng.Float64() - 1; v != 0 {
+			return v
+		}
+		return 0.5
+	}
 	for i := 0; i < n; i++ {
 		x, y, z := i%nx, (i/nx)%ny, i/(nx*ny)
 		in := []bool{z > 0, y > 0, x > 0, x+1 < nx, y+1 < ny, z+1 < nz}
@@ -24,11 +32,18 @@ func randomGridMatrix(rng *rand.Rand, nx, ny, nz int, drop uint8) *sparse.CSR {
 			if !in[d] || rng.Intn(256) < int(drop) {
 				continue
 			}
-			v := 2*rng.Float64() - 1
-			if v == 0 {
-				v = 0.5
-			}
+			v := val()
 			b.Add(i, i+o, v)
+			sum += math.Abs(v)
+		}
+		if cross && x == nx-1 && i+1 < n {
+			v := val()
+			b.Add(i, i+1, v)
+			sum += math.Abs(v)
+		}
+		if cross && x == 0 && i > 0 {
+			v := val()
+			b.Add(i, i-1, v)
 			sum += math.Abs(v)
 		}
 		b.Add(i, i, 1+sum+rng.Float64())
@@ -57,23 +72,45 @@ func genericMulVec(m *sparse.CSR, dst, x []float64) {
 	}
 }
 
+// sameUpToZeroSign reports whether a and b are bitwise equal, or both
+// zero.
+func sameUpToZeroSign(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a == 0 && b == 0
+}
+
 // FuzzStencilKernels checks the stencil kernels against the generic ones
-// on random grids, random dropped entries and random values: SpMV must
-// be bitwise identical through MulVec and through MulVecAuto at 1–4
-// workers with a small row-block size, and the stencil ILU(0) apply must
-// agree with the generic apply within 1e-12 relative.
+// on random grids — odd and even line counts, one or two lines per layer,
+// one or two layers — with random dropped entries and values. SpMV, its
+// seven- and six-entry runs included, must be bitwise identical to the
+// generic row loop through MulVec and through MulVecAuto at 1–4 workers
+// with a small row-block size. The ILU(0) factor must take the line-pair
+// sweeps exactly when the pattern is a grid stencil whose ±1 entries stay
+// within lines; those sweeps must match the reference sweep bit for bit,
+// up to the sign of an exact zero, and every apply must agree with the
+// generic CSR apply within 1e-12 relative.
 func FuzzStencilKernels(f *testing.F) {
-	f.Add(uint8(5), uint8(4), uint8(3), uint8(0), uint16(64), int64(1))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(40), uint16(7), int64(2))
-	f.Add(uint8(9), uint8(3), uint8(6), uint8(128), uint16(20), int64(3))
+	f.Add(uint8(5), uint8(4), uint8(3), uint8(0), uint16(64), int64(1), false)
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(40), uint16(7), int64(2), false)
+	f.Add(uint8(9), uint8(3), uint8(6), uint8(128), uint16(20), int64(3), false)
 	// Above the parallel SpMV threshold, so MulVecAuto fans out.
-	f.Add(uint8(38), uint8(38), uint8(11), uint8(16), uint16(300), int64(4))
-	f.Fuzz(func(t *testing.T, nx, ny, nz, drop uint8, blockNNZ uint16, seed int64) {
+	f.Add(uint8(38), uint8(38), uint8(11), uint8(16), uint16(300), int64(4), false)
+	// Two lines per layer, odd and even layer counts.
+	f.Add(uint8(7), uint8(1), uint8(4), uint8(0), uint16(50), int64(5), false)
+	f.Add(uint8(4), uint8(1), uint8(5), uint8(8), uint16(50), int64(6), false)
+	// One line per layer or one layer: fewer than seven offsets.
+	f.Add(uint8(6), uint8(0), uint8(5), uint8(0), uint16(50), int64(7), false)
+	f.Add(uint8(6), uint8(5), uint8(0), uint8(0), uint16(50), int64(8), false)
+	// Two layers.
+	f.Add(uint8(6), uint8(4), uint8(1), uint8(0), uint16(50), int64(9), false)
+	// ±1 entries across line boundaries: the generic factor.
+	f.Add(uint8(5), uint8(4), uint8(3), uint8(0), uint16(64), int64(10), true)
+	f.Fuzz(func(t *testing.T, nx, ny, nz, drop uint8, blockNNZ uint16, seed int64, cross bool) {
 		rng := rand.New(rand.NewSource(seed))
-		gx, gy, gz := 2+int(nx)%39, 2+int(ny)%39, 2+int(nz)%23
-		m := randomGridMatrix(rng, gx, gy, gz, drop)
+		gx, gy, gz := 2+int(nx)%39, 1+int(ny)%40, 1+int(nz)%24
+		m := randomGridMatrix(rng, gx, gy, gz, drop, cross)
 		n := m.N
-		if _, ok := m.StencilOffsets(); drop == 0 && min(gx, gy, gz) >= 3 && !ok {
+		off, ok := m.StencilOffsets()
+		if drop == 0 && min(gx, gy, gz) >= 3 && !ok {
 			t.Fatalf("full %d×%d×%d grid not detected as a stencil", gx, gy, gz)
 		}
 		x := make([]float64, n)
@@ -114,8 +151,8 @@ func FuzzStencilKernels(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ILU(0): %v", err)
 		}
-		if off, ok := m.StencilOffsets(); (ok && off[3] == 0) != (pre.st != nil) {
-			t.Fatalf("stencil factor %v for offsets %v (stencil %v)", pre.st != nil, off, ok)
+		if (ok && !cross) != (pre.st != nil) {
+			t.Fatalf("line-pair factor %v for offsets %v (stencil %v, cross-line ±1 %v)", pre.st != nil, off, ok, cross)
 		}
 		zr, zs := make([]float64, n), make([]float64, n)
 		ref.Apply(zr, x)
@@ -127,6 +164,15 @@ func FuzzStencilKernels(f *testing.F) {
 		}
 		if !(maxDiff <= 1e-12*maxRef) {
 			t.Fatalf("ILU(0) apply differs by %g (max |z| %g)", maxDiff, maxRef)
+		}
+		if pre.st == nil {
+			return
+		}
+		referenceStencilApply(pre.st, zr, x)
+		for i := range zr {
+			if !sameUpToZeroSign(zs[i], zr[i]) {
+				t.Fatalf("line-pair sweep z[%d] = %v, reference sweep %v", i, zs[i], zr[i])
+			}
 		}
 	})
 }

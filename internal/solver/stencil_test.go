@@ -3,6 +3,7 @@ package solver_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"lcn3d/internal/grid"
@@ -14,15 +15,21 @@ import (
 	"lcn3d/internal/thermal"
 )
 
-// rm4System assembles the 4RM system of ICCAD case 1 with straight
-// channels at the given grid scale and pressure (Pa).
-func rm4System(tb testing.TB, scale int, psys float64) (*sparse.CSR, []float64) {
+// rm4Model builds the 4RM model of ICCAD case 1 at the given grid scale,
+// with straight channels or, when tree is set, two 4-branch trees.
+func rm4Model(tb testing.TB, scale int, tree bool) *rm4.Model {
 	tb.Helper()
 	bench, err := iccad.LoadScaled(1, grid.Dims{NX: scale, NY: scale})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n := network.Straight(bench.Stk.Dims, grid.SideWest, 1)
+	d := bench.Stk.Dims
+	n := network.Straight(d, grid.SideWest, 1)
+	if tree {
+		if n, err = network.Tree(d, network.UniformTreeSpec(d, 2, network.Branch4, 0.3, 0.6)); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	nets := make([]*network.Network, len(bench.Stk.ChannelLayers()))
 	for i := range nets {
 		nets[i] = n
@@ -31,7 +38,14 @@ func rm4System(tb testing.TB, scale int, psys float64) (*sparse.CSR, []float64) 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sys, err := m.System(psys)
+	return m
+}
+
+// rm4System assembles the 4RM system of ICCAD case 1 with straight
+// channels at the given grid scale and pressure (Pa).
+func rm4System(tb testing.TB, scale int, psys float64) (*sparse.CSR, []float64) {
+	tb.Helper()
+	sys, err := rm4Model(tb, scale, false).System(psys)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -139,13 +153,13 @@ func TestBiCGSTABFusedMatchesReference(t *testing.T) {
 }
 
 // spmvBytes returns the bytes one stencil-aware SpMV streams: every
-// value, the column indices and row pointers of rows outside the
-// full-stencil runs, x and dst.
+// value, the column indices and row pointers of rows outside the seven-
+// and six-entry runs, x and dst.
 func spmvBytes(m *sparse.CSR) int64 {
 	_, ok := m.StencilOffsets()
 	var generic int64
 	for i := 0; i < m.N; i++ {
-		if k := m.RowPtr[i+1] - m.RowPtr[i]; !ok || k != sparse.StencilWidth {
+		if k := m.RowPtr[i+1] - m.RowPtr[i]; !ok || k < sparse.StencilWidth-1 {
 			generic += int64(k) + 2 // columns plus the two row pointers
 		}
 	}
@@ -169,11 +183,74 @@ func BenchmarkStencilSpMV(b *testing.B) {
 	}
 }
 
+// TestStencilILUMatchesReference pins the line-pair ILU(0) sweeps to the
+// reference sweep they replaced on the case-1 4RM systems at scales 21
+// and 51, straight and tree, and on a transient C/dt + A(s) matrix: every
+// entry of z must be bitwise equal, up to the sign of an exact zero.
+func TestStencilILUMatchesReference(t *testing.T) {
+	type system struct {
+		name string
+		a    *sparse.CSR
+	}
+	var systems []system
+	for _, scale := range []int{21, 51} {
+		for _, tree := range []bool{false, true} {
+			m := rm4Model(t, scale, tree)
+			sys, err := m.System(12e3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			systems = append(systems, system{fmt.Sprintf("scale%d/tree=%v", scale, tree), sys.A})
+			if scale != 21 || !tree {
+				continue
+			}
+			// The transient stepper's left-hand side: C/dt on A's diagonal.
+			const dt = 1e-3
+			ts, err := m.Transient(12e3, dt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := &sparse.CSR{N: sys.A.N, RowPtr: sys.A.RowPtr, Cols: sys.A.Cols,
+				Vals: append([]float64(nil), sys.A.Vals...)}
+			diag, err := tr.DiagIndices()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, k := range diag {
+				tr.Vals[k] += ts.Cap[i] / dt
+			}
+			systems = append(systems, system{"scale21/tree=true/transient", tr})
+		}
+	}
+	for _, sys := range systems {
+		pre, err := solver.NewILU0(sys.a)
+		if err != nil {
+			t.Fatalf("%s: %v", sys.name, err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		r := make([]float64, sys.a.N)
+		for i := range r {
+			r[i] = 2*rng.Float64() - 1
+		}
+		got, want := make([]float64, sys.a.N), make([]float64, sys.a.N)
+		pre.Apply(got, r)
+		if !solver.ReferenceILUApply(pre, want, r) {
+			t.Fatalf("%s: no stencil factor", sys.name)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(got[i] == 0 && want[i] == 0) {
+				t.Fatalf("%s: z[%d] = %v, reference %v", sys.name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // BenchmarkStencilILUApply times one ILU(0) apply (forward and backward
-// sweep) on the 4RM systems at scales 21 and 51. The stencil factor
-// streams seven coefficient arrays, r once and z three times (written
-// by the forward sweep, read and rewritten by the backward one); the
-// operation count is about 2·nnz flops.
+// sweep) on the 4RM systems at scales 21 and 51, and the reference sweep
+// the line-pair sweeps replaced on the same factor, so one run prints
+// both. The stencil factor streams seven coefficient arrays, r once and z
+// three times (written by the forward sweep, read and rewritten by the
+// backward one); the operation count is about 2·nnz flops.
 func BenchmarkStencilILUApply(b *testing.B) {
 	for _, scale := range []int{21, 51} {
 		a, rhs := rm4System(b, scale, 12e3)
@@ -182,12 +259,22 @@ func BenchmarkStencilILUApply(b *testing.B) {
 			b.Fatal(err)
 		}
 		z := make([]float64, a.N)
-		b.Run(fmt.Sprintf("scale%d", scale), func(b *testing.B) {
-			b.SetBytes(8 * 11 * int64(a.N))
-			b.ReportMetric(float64(2*a.NNZ()), "flops/op")
-			for i := 0; i < b.N; i++ {
-				pre.Apply(z, rhs)
+		for _, ref := range []bool{false, true} {
+			name := fmt.Sprintf("scale%d", scale)
+			if ref {
+				name += "/reference"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(8 * 11 * int64(a.N))
+				b.ReportMetric(float64(2*a.NNZ()), "flops/op")
+				for i := 0; i < b.N; i++ {
+					if !ref {
+						pre.Apply(z, rhs)
+					} else if !solver.ReferenceILUApply(pre, z, rhs) {
+						b.Fatal("no stencil factor")
+					}
+				}
+			})
+		}
 	}
 }

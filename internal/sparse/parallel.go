@@ -71,8 +71,8 @@ func SpMVBlockNNZ() int {
 // rowBlocks is a sliced-CSR partition: bounds[b] .. bounds[b+1] is the
 // row range of block b, cut so every block holds roughly the same number
 // of stored entries. Equal-nnz blocks keep the dynamic schedule balanced
-// when a renumbering (or a ragged assembly) makes row occupancy uneven,
-// which equal-row chunking cannot.
+// when a ragged assembly makes row occupancy uneven, which equal-row
+// chunking cannot.
 type rowBlocks struct {
 	target int // the SpMVBlockNNZ the partition was built for
 	bounds []int32
@@ -105,21 +105,25 @@ func (m *CSR) blocking() *rowBlocks {
 // mulRows computes dst[i] = Σ_k Vals[k]·x[Cols[k]] for rows [lo, hi).
 // It is the single SpMV kernel shared by the serial and parallel paths,
 // so results are bitwise identical no matter how rows are scheduled
-// across workers. On a stencil pattern the full-row runs go through
-// mulStencilRows, which sums in the generic loop's order.
+// across workers. On a stencil pattern the seven- and six-entry runs go
+// through mulStencilRows and mulStencil6Rows, which sum in the generic
+// loop's order.
 func (m *CSR) mulRows(dst, x []float64, lo, hi int) {
 	st := m.stencilPattern()
 	runs := st.runs
-	nr := len(runs) / 2
-	r := sort.Search(nr, func(j int) bool { return runs[2*j+1] > lo })
+	r := sort.Search(len(runs), func(j int) bool { return runs[j].hi > lo })
 	for i := lo; i < hi; r++ {
-		if r == nr || runs[2*r] >= hi {
+		if r == len(runs) || runs[r].lo >= hi {
 			m.mulGenericRows(dst, x, i, hi)
 			return
 		}
-		a, b := max(runs[2*r], i), min(runs[2*r+1], hi)
+		a, b := max(runs[r].lo, i), min(runs[r].hi, hi)
 		m.mulGenericRows(dst, x, i, a)
-		m.mulStencilRows(dst, x, &st.off, a, b)
+		if k := runs[r].skip; k == StencilWidth {
+			m.mulStencilRows(dst, x, &st.off, a, b)
+		} else {
+			m.mulStencil6Rows(dst, x, &st.off6[k], a, b)
+		}
 		i = b
 	}
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -28,17 +29,29 @@ func gridCSR(rng *rand.Rand, nx, ny, nz int) *CSR {
 	return b.Build()
 }
 
-// TestStencilAnalysis checks the detected offsets and full-row runs on a
-// 4×3×3 grid, where only rows (1,1,1) and (2,1,1) have all six
-// neighbours, and rejects patterns that are not 7-point stencils.
+// TestStencilAnalysis checks the detected offsets and runs on a 4×3×3
+// grid, where only rows (1,1,1) and (2,1,1) have all six neighbours and
+// the single six-entry rows beside them stay in the generic loop, and
+// rejects patterns that are not 7-point stencils.
 func TestStencilAnalysis(t *testing.T) {
 	m := gridCSR(rand.New(rand.NewSource(1)), 4, 3, 3)
 	off, ok := m.StencilOffsets()
 	if want := [StencilWidth]int{-12, -4, -1, 0, 1, 4, 12}; !ok || off != want {
 		t.Fatalf("offsets %v (stencil %v), want %v", off, ok, want)
 	}
-	if runs, want := m.stencilPattern().runs, []int{17, 19}; len(runs) != 2 || runs[0] != want[0] || runs[1] != want[1] {
-		t.Fatalf("full-row runs %v, want %v", runs, want)
+	// Offset indices: 0 = −12, 1 = −4, 2 = −1, 4 = +1, 5 = +4, 6 = +12.
+	want := []stencilRun{
+		// First layer, inner line.
+		{5, 7, 0},
+		// Middle layer: first line, inner line, last line.
+		{13, 15, 1},
+		{17, 19, 7},
+		{21, 23, 5},
+		// Last layer, inner line.
+		{29, 31, 6},
+	}
+	if runs := m.stencilPattern().runs; !slices.Equal(runs, want) {
+		t.Fatalf("runs %v, want %v", runs, want)
 	}
 
 	// An eighth offset: not a stencil.

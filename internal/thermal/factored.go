@@ -32,15 +32,8 @@ type Factored struct {
 	rhs       []float64 // scratch, rewritten per probe
 	scheme    Scheme
 
-	// perm/iperm describe the bandwidth-reducing (RCM) renumbering large
-	// systems are solved in: internal index p = perm[model index]. Nil
-	// when the assembly order was kept. All internal state (pair, RHS,
-	// warm fields, agg) lives in the internal ordering; SolveAt and
-	// SystemAt translate at the boundary.
-	perm, iperm []int
-
-	// agg/nAgg is the multigrid aggregation (already renumbered), nil
-	// when the assembler provided no coarse map.
+	// agg/nAgg is the multigrid aggregation, nil when the assembler
+	// provided no coarse map.
 	agg  []int
 	nAgg int
 
@@ -202,29 +195,6 @@ const (
 // budget.
 const mgMaxIter = 500
 
-// rcmMinSize gates the bandwidth-reducing renumbering when it is
-// enabled: below it, systems fit in cache in any ordering.
-const rcmMinSize = 1024
-
-// renumberEnabled controls whether Factor applies RCM renumbering to
-// large systems. Off by default: on the rm4/rm2 stacks RCM narrows the
-// band 3-5×, but ILU(0) dropped-fill quality tracks the physical
-// layer-major ordering, not the bandwidth — measured on the scale-21
-// 4RM system, RCM raised cold-solve iteration counts from 23.5 to 40.5
-// per probe and wall time by half despite the narrower band, and it
-// slowed the multigrid smoother the same way at scale 51. The machinery
-// stays available (and tested) for workloads where locality wins, e.g.
-// out-of-cache SpMV-dominated sweeps.
-var renumberEnabled atomic.Bool
-
-// SetRenumbering enables or disables RCM renumbering of subsequently
-// factored large systems (see renumberEnabled for why it is off by
-// default).
-func SetRenumbering(on bool) { renumberEnabled.Store(on) }
-
-// GetRenumbering reports whether RCM renumbering is enabled.
-func GetRenumbering() bool { return renumberEnabled.Load() }
-
 // FactorStats accumulates amortization counters across the lifetime of a
 // factored system.
 type FactorStats struct {
@@ -288,49 +258,12 @@ func (a *Assembler) Factor() *Factored {
 	flowRHS := append([]float64(nil), a.flowRHS...)
 	agg := append([]int(nil), a.agg...)
 
-	// Bandwidth-reducing renumbering for large systems: RCM on the union
-	// pattern, kept only when it actually narrows the band (the
-	// layer-major assembly order is already banded; RCM typically cuts
-	// the band to the smallest grid cross-section, which tightens the
-	// ILU triangular solves and the blocked SpMV working set).
-	var perm, iperm []int
-	var pair *sparse.AffinePair
-	if renumberEnabled.Load() && n >= rcmMinSize {
-		probe, err := sparse.NewAffinePair(s, fl)
-		if err != nil {
-			panic(err) // both builders share the assembler's dimension; unreachable
-		}
-		union := probe.Matrix()
-		p := sparse.RCM(union)
-		if sparse.PermutedBandwidth(union, p) < sparse.Bandwidth(union) {
-			perm, iperm = p, sparse.InversePerm(p)
-			s = sparse.PermuteCSR(s, p)
-			fl = sparse.PermuteCSR(fl, p)
-			v := make([]float64, n)
-			sparse.PermuteVec(v, staticRHS, p)
-			staticRHS, v = v, make([]float64, n)
-			sparse.PermuteVec(v, flowRHS, p)
-			flowRHS = v
-			if agg != nil {
-				pa := make([]int, n)
-				sparse.PermuteInts(pa, agg, p)
-				agg = pa
-			}
-		} else {
-			pair = probe // renumbering rejected: the probe pair is the pair
-		}
-	}
-	if pair == nil {
-		var err error
-		pair, err = sparse.NewAffinePair(s, fl)
-		if err != nil {
-			panic(err) // both builders share the assembler's dimension; unreachable
-		}
+	pair, err := sparse.NewAffinePair(s, fl)
+	if err != nil {
+		panic(err) // both builders share the assembler's dimension; unreachable
 	}
 	f := &Factored{
 		pair:      pair,
-		perm:      perm,
-		iperm:     iperm,
 		agg:       agg,
 		nAgg:      a.nAgg,
 		staticRHS: staticRHS,
@@ -377,10 +310,6 @@ func (f *Factored) Stats() FactorStats {
 // coarse map, ineligible size, or no probe has run yet).
 func (f *Factored) Multigrid() *solver.TwoLevel { return f.mg.Load() }
 
-// Renumbered reports whether the system is solved in a bandwidth-reduced
-// (RCM) internal ordering.
-func (f *Factored) Renumbered() bool { return f.perm != nil }
-
 // NNZ returns the stored entries of the union pattern.
 func (f *Factored) NNZ() int { return f.pair.Matrix().NNZ() }
 
@@ -396,9 +325,7 @@ func (f *Factored) reassemble(s float64) int64 {
 }
 
 // SystemAt materializes an independent copy of the system at scale s, for
-// callers that retain the matrices (transient stepping, inspection). The
-// copy is always in the caller's (assembly) ordering — the internal RCM
-// renumbering, if any, is undone.
+// callers that retain the matrices (transient stepping, inspection).
 func (f *Factored) SystemAt(s float64) (*sparse.CSR, []float64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -406,14 +333,7 @@ func (f *Factored) SystemAt(s float64) (*sparse.CSR, []float64) {
 	for i := range rhs {
 		rhs[i] = f.staticRHS[i] + s*f.flowRHS[i]
 	}
-	mat := f.pair.MatrixCopy(s)
-	if f.perm != nil {
-		mat = sparse.PermuteCSR(mat, f.iperm)
-		out := make([]float64, len(rhs))
-		sparse.PermuteVec(out, rhs, f.iperm)
-		rhs = out
-	}
-	return mat, rhs
+	return f.pair.MatrixCopy(s), rhs
 }
 
 // SolveAt solves A(s)·T = b(s), seeding the iteration from the
@@ -502,11 +422,6 @@ func (f *Factored) SolveAt(s, tGuess float64) ([]float64, solver.Result, ProbeSt
 	}
 
 	f.remember(s, t)
-	if f.perm != nil {
-		out := make([]float64, len(t))
-		sparse.PermuteVec(out, t, f.iperm)
-		t = out
-	}
 	return t, res, probe, nil
 }
 

@@ -1,8 +1,11 @@
 package thermal
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+
+	"lcn3d/internal/sparse"
 )
 
 // raceFactored builds a small solvable factored system: a 1D advection
@@ -20,6 +23,50 @@ func raceFactored(tb testing.TB, n int) *Factored {
 		a.Source(i, 1.0)
 	}
 	return a.Factor()
+}
+
+// TestParallelSolveBitwiseDeterministic factors a system large enough
+// for the parallel SpMV path and checks the solved field is bitwise
+// identical across SpMV worker counts and GOMAXPROCS settings. Run under
+// -race (CI does) this also proves the parallel solve has no data races.
+// The sliced-row kernel writes each row from exactly one worker with one
+// summation order, so the whole Krylov trajectory — and therefore the
+// solution — must not depend on scheduling.
+func TestParallelSolveBitwiseDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves a >20k-unknown system several times")
+	}
+	const scale = 2.0
+	n := 21000 // above sparse.parallelThreshold
+
+	solve := func() []float64 {
+		temps, _, _, err := raceFactored(t, n).SolveAt(scale, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return temps
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	ref := solve()
+	for _, cfg := range []struct {
+		procs, workers int
+	}{
+		{0, 1}, {0, 2}, {0, 3}, {2, 0}, {4, 7},
+	} {
+		if cfg.procs > 0 {
+			runtime.GOMAXPROCS(cfg.procs)
+		}
+		sparse.SetSpMVWorkers(cfg.workers)
+		got := solve()
+		sparse.SetSpMVWorkers(0)
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("procs=%d workers=%d: node %d differs: %v vs %v",
+					cfg.procs, cfg.workers, i, got[i], ref[i])
+			}
+		}
+	}
 }
 
 // TestStatsConcurrentWithSolves hammers Stats() from many goroutines

@@ -32,8 +32,7 @@ type TransientSystem struct {
 	// live: the stepper reads it at every step, so callers (internal/dtm)
 	// may rewrite it in place between steps to vary the heat sources. On
 	// the Factored construction path A is nil and B aliases the static
-	// RHS only while the system is solved in assembly order (always,
-	// unless RCM renumbering was enabled).
+	// RHS.
 	A   *sparse.CSR
 	B   []float64
 	Cap []float64 // per-node heat capacity, J/K (assembly order)
@@ -43,11 +42,11 @@ type TransientSystem struct {
 	scale float64 // current affine shift s (the pump pressure, Pa)
 
 	diag     []int     // value-array index of each row's diagonal
-	baseDiag []float64 // static diagonal before the +C/dt fold (internal order)
-	capInt   []float64 // heat capacities in the internal ordering
-	src      []float64 // extra source RHS (internal order), nil when unset
+	baseDiag []float64 // static diagonal before the +C/dt fold
+	heatCap  []float64 // private copy of Cap
+	src      []float64 // extra source RHS, nil when unset
 
-	tInt, xInt, diagWork []float64 // scratch
+	xWork, diagWork []float64 // scratch
 
 	steps    int // completed Step calls
 	segments int // distinct (dt, s) segments entered
@@ -96,11 +95,11 @@ func NewTransientSystem(a *sparse.CSR, b, caps []float64, dt float64) (*Transien
 }
 
 // Transient compiles an implicit-Euler stepper that shares this factored
-// system's compiled pattern, static/flow RHS split, renumbering, coarse
-// map, and solve tolerance. caps are per-node heat capacities (J/K) in
-// the model's assembly order, psys the initial pump pressure (the affine
-// shift), dt the time step (s). The stepper owns a private copy of the
-// system, so steady probes on f continue unaffected.
+// system's compiled pattern, static/flow RHS split, coarse map, and
+// solve tolerance. caps are per-node heat capacities (J/K), psys the
+// initial pump pressure (the affine shift), dt the time step (s). The
+// stepper owns a private copy of the system, so steady probes on f
+// continue unaffected.
 func (f *Factored) Transient(caps []float64, dt, psys float64) (*TransientSystem, error) {
 	f.mu.Lock()
 	n := f.N()
@@ -116,8 +115,6 @@ func (f *Factored) Transient(caps []float64, dt, psys float64) (*TransientSystem
 	}
 	tf := &Factored{
 		pair:      pair,
-		perm:      f.perm,
-		iperm:     f.iperm,
 		agg:       f.agg,
 		nAgg:      f.nAgg,
 		staticRHS: append([]float64(nil), f.staticRHS...),
@@ -133,9 +130,7 @@ func (f *Factored) Transient(caps []float64, dt, psys float64) (*TransientSystem
 	if err != nil {
 		return nil, err
 	}
-	if tf.perm == nil {
-		ts.B = tf.staticRHS
-	}
+	ts.B = tf.staticRHS
 	return ts, nil
 }
 
@@ -156,12 +151,6 @@ func newTransient(f *Factored, caps []float64, dt, psys float64) (*TransientSyst
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient: %w", err)
 	}
-	capInt := make([]float64, n)
-	if f.perm != nil {
-		sparse.PermuteVec(capInt, caps, f.perm)
-	} else {
-		copy(capInt, caps)
-	}
 	base := f.pair.Base()
 	baseDiag := make([]float64, n)
 	for i, k := range diag {
@@ -169,8 +158,8 @@ func newTransient(f *Factored, caps []float64, dt, psys float64) (*TransientSyst
 	}
 	ts := &TransientSystem{
 		Cap: caps, f: f, dt: dt, scale: psys,
-		diag: diag, baseDiag: baseDiag, capInt: capInt,
-		tInt: make([]float64, n), xInt: make([]float64, n),
+		diag: diag, baseDiag: baseDiag, heatCap: append([]float64(nil), caps...),
+		xWork:    make([]float64, n),
 		diagWork: make([]float64, n),
 		segments: 1,
 	}
@@ -183,7 +172,7 @@ func newTransient(f *Factored, caps []float64, dt, psys float64) (*TransientSyst
 // depends on the time step.
 func (ts *TransientSystem) foldDt() {
 	for i := range ts.diagWork {
-		ts.diagWork[i] = ts.baseDiag[i] + ts.capInt[i]/ts.dt
+		ts.diagWork[i] = ts.baseDiag[i] + ts.heatCap[i]/ts.dt
 	}
 	ts.f.pair.SetBaseAt(ts.diag, ts.diagWork)
 }
@@ -264,11 +253,7 @@ func (ts *TransientSystem) SetSourceDelta(delta []float64) error {
 	if ts.src == nil {
 		ts.src = make([]float64, f.N())
 	}
-	if f.perm != nil {
-		sparse.PermuteVec(ts.src, delta, f.perm)
-	} else {
-		copy(ts.src, delta)
-	}
+	copy(ts.src, delta)
 	return nil
 }
 
@@ -305,13 +290,6 @@ func (ts *TransientSystem) Step(t []float64) error {
 		time.Sleep(faults.Delay())
 	}
 
-	tin := ts.tInt
-	if f.perm != nil {
-		sparse.PermuteVec(tin, t, f.perm)
-	} else {
-		copy(tin, t)
-	}
-
 	// Materialize A(s) if the shift moved, and compose the step RHS:
 	// b(s) + C/dt·T_n (+ the schedule's source delta).
 	t0 := time.Now()
@@ -320,7 +298,7 @@ func (ts *TransientSystem) Step(t []float64) error {
 	}
 	idt := 1 / ts.dt
 	for i := 0; i < n; i++ {
-		f.rhs[i] = f.staticRHS[i] + ts.scale*f.flowRHS[i] + ts.capInt[i]*idt*tin[i]
+		f.rhs[i] = f.staticRHS[i] + ts.scale*f.flowRHS[i] + ts.heatCap[i]*idt*t[i]
 	}
 	if ts.src != nil {
 		for i := range f.rhs {
@@ -353,10 +331,10 @@ func (ts *TransientSystem) Step(t []float64) error {
 	// Every step warm-starts from the physical state — the previous
 	// field is both the best available guess and the only cold-start
 	// fallback that makes sense mid-trace.
-	x := ts.xInt
-	copy(x, tin)
+	x := ts.xWork
+	copy(x, t)
 	f.ctrWarmStarts.Add(1)
-	cold := func() { copy(x, tin) }
+	cold := func() { copy(x, t) }
 	res, rung, err := f.escalate(mat, f.rhs, x, ts.scale, opt, freshPre, mgActive, cold)
 	f.ctrSolveIters.Add(int64(res.Iterations))
 	if err != nil {
@@ -378,11 +356,7 @@ func (ts *TransientSystem) Step(t []float64) error {
 		f.preIters = res.Iterations
 	}
 
-	if f.perm != nil {
-		sparse.PermuteVec(t, x, f.iperm)
-	} else {
-		copy(t, x)
-	}
+	copy(t, x)
 	ts.steps++
 	return nil
 }
